@@ -53,6 +53,7 @@ from repro import telemetry
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
+from repro.fluid import engine as fluid_engine
 from repro.fluid import kernels
 from repro.fluid.engine import (
     DEFAULT_DT,
@@ -421,8 +422,11 @@ class FluidBatchNetwork:
         A line-by-line batched transcription of
         :meth:`FluidNetwork._interval_loop`; comments here focus on
         the batching — see the single engine for the model rationale.
-        Every yield hands the session ``(B, …)`` column stacks; rows
-        of inactive scenarios carry unused zeros.
+        Step 5 (burst allocation) is not transcribed: both engines
+        call the one :func:`repro.fluid.engine._allocate_bursts`,
+        which draws once per scenario per step. Every yield hands the
+        session ``(B, …)`` column stacks; rows of inactive scenarios
+        carry unused zeros.
         """
         net = self._net
         rngs = self._rngs
@@ -486,11 +490,10 @@ class FluidBatchNetwork:
         slots = SlotArrays.concat(parts, num_paths)
         num_slots = len(slots)
         spath_flat = slots.path_index  # slot -> b * P + p
-        spath_local = parts[0].path_index
         tcp = TcpArrayState(slots.is_cubic)
-        slots_of_path_local: List[np.ndarray] = [
-            np.nonzero(spath_local == p)[0] for p in range(num_paths)
-        ]
+        path_slots = fluid_engine._path_member_table(
+            parts[0].path_index, num_paths
+        )
         session._bind(slots, spath_flat)
 
         # --- accumulators ----------------------------------------------
@@ -893,32 +896,14 @@ class FluidBatchNetwork:
                 drop_acc[db, dl] = 0.0
                 row_dropped[db, dl] = False
 
-            # 5. Allocate burst volume to flows (per-scenario RNG,
-            #    paths ascending within each scenario).
+            # 5. Allocate burst volume to flows: the single engine's
+            #    allocator, looked up on its module so that a wrapper
+            #    or substitute installed there sees batch calls too.
             if burst_dirty:
-                cand = (path_burst > 0.0) & (path_send > 0.0)
-                for b, p in zip(*cand.nonzero()):
-                    burst = min(
-                        float(path_burst[b, p]), float(path_send[b, p])
-                    )
-                    members = (
-                        slots_of_path_local[p] + b * slots_per_scenario
-                    )
-                    weights = send[members]
-                    present = weights > 0.0
-                    if not present.any():
-                        continue
-                    members = members[present]
-                    weights = weights[present]
-                    u = rngs[b].random(len(members))
-                    order = (
-                        np.log(-np.log(u)) - np.log(weights)
-                    ).argsort()
-                    ordered = weights[order]
-                    ahead = ordered.cumsum() - ordered
-                    slot_burst[members[order]] = np.minimum(
-                        ordered, np.maximum(burst - ahead, 0.0)
-                    )
+                fluid_engine._allocate_bursts(
+                    rngs, path_burst, path_send, path_slots, send,
+                    slot_burst,
+                )
 
             # 6. TCP reactions, completions, accounting (flattened:
             #    every op is per-slot, so scenarios cannot mix).

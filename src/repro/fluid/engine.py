@@ -236,8 +236,21 @@ def package_result(
     )
 
 
+def _path_member_table(spath: np.ndarray, num_paths: int) -> np.ndarray:
+    """Each path's slot indices, ascending, as a ``(P, max_members)``
+    table padded with -1 (built once per session)."""
+    counts = np.bincount(spath, minlength=num_paths)
+    table = np.full(
+        (num_paths, max(int(counts.max(initial=0)), 1)), -1, dtype=np.intp
+    )
+    by_path = np.argsort(spath, kind="stable")
+    col = np.arange(len(spath)) - np.repeat(counts.cumsum() - counts, counts)
+    table[spath[by_path], col] = by_path
+    return table
+
+
 def _allocate_bursts(
-    rng, path_burst, path_send, slots_of_path, send, slot_burst
+    rngs, path_burst, path_send, path_slots, send, slot_burst
 ) -> None:
     """Allocate each path's burst-drop volume to its active flows.
 
@@ -245,37 +258,53 @@ def _allocate_bursts(
     randomly chosen flow per step (weighted by what each sent),
     spilling to the next only when the burst exceeds the flow's
     traffic — the weighted order without replacement comes from
-    Gumbel keys (Efraimidis–Spirakis). The uniforms for every bursty
-    path are drawn in one flat RNG call and sliced per path, which
-    consumes the bit-identical stream of the former per-path
-    ``rng.random(len(members))`` loop (Generator.random fills a
-    buffer sequentially, so one draw of ``n1+n2`` equals draws of
-    ``n1`` then ``n2``).
+    Gumbel keys (Efraimidis–Spirakis).
+
+    Shared by the single engine (``B = 1``) and the batch engine:
+    ``rngs`` holds one generator per scenario, ``path_burst`` and
+    ``path_send`` are ``(B, P)`` (or ``(P,)`` at ``B = 1``),
+    ``path_slots`` is the :func:`_path_member_table` of one
+    scenario, and ``send``/``slot_burst`` are flat ``B·S`` slot
+    arrays. Every bursty (scenario, path) row is handled at once:
+    rows are padded to the widest path with ``+inf`` keys, which sort
+    last, so each row's stable argsort and sequential cumsum give its
+    real prefix bit-for-bit the values of a per-path loop. Each
+    scenario draws its uniforms in one flat call over its rows in
+    path order, which consumes the bit-identical stream of a
+    per-path ``rng.random(len(members))`` loop (Generator.random
+    fills a buffer sequentially, so one draw of ``n1+n2`` equals
+    draws of ``n1`` then ``n2``).
     """
-    todo = []
-    total = 0
-    for p in np.nonzero((path_burst > 0.0) & (path_send > 0.0))[0]:
-        members = slots_of_path[p]
-        weights = send[members]
-        present = weights > 0.0
-        if not present.any():
-            continue
-        todo.append((p, members[present], weights[present]))
-        total += int(present.sum())
-    if not todo:
+    num_scenarios = len(rngs)
+    path_burst = path_burst.reshape(num_scenarios, -1)
+    path_send = path_send.reshape(num_scenarios, -1)
+    rb, rp = ((path_burst > 0.0) & (path_send > 0.0)).nonzero()
+    if not len(rb):
         return
-    u_all = rng.random(total)
-    pos = 0
-    for p, members, weights in todo:
-        u = u_all[pos : pos + len(members)]
-        pos += len(members)
-        burst = min(path_burst[p], path_send[p])
-        order = (np.log(-np.log(u)) - np.log(weights)).argsort()
-        ordered = weights[order]
-        ahead = ordered.cumsum() - ordered
-        slot_burst[members[order]] = np.minimum(
-            ordered, np.maximum(burst - ahead, 0.0)
-        )
+    members = path_slots[rp]
+    flat = members + (rb * (len(send) // num_scenarios))[:, None]
+    real = members >= 0
+    weights = np.zeros(members.shape)
+    weights[real] = send[flat[real]]
+    present = weights > 0.0
+    rows = present.nonzero()[0]
+    if not len(rows):
+        return
+    counts = np.bincount(rb[rows], minlength=num_scenarios)
+    draws = [rngs[b].random(counts[b]) for b in counts.nonzero()[0]]
+    u = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    keys = np.full(members.shape, np.inf)
+    keys[present] = np.log(-np.log(u)) - np.log(weights[present])
+    order = keys.argsort(axis=1, kind="stable")
+    by_row = np.arange(len(rb))[:, None]
+    ordered = weights[by_row, order]
+    ahead = ordered.cumsum(axis=1) - ordered
+    burst = np.minimum(path_burst[rb, rp], path_send[rb, rp])
+    alloc = np.empty(members.shape)
+    alloc[by_row, order] = np.minimum(
+        ordered, np.maximum(burst[:, None] - ahead, 0.0)
+    )
+    slot_burst[flat[present]] = alloc[present]
 
 
 class FluidNetwork:
@@ -680,9 +709,7 @@ class FluidNetwork:
         num_slots = len(slots)
         spath = slots.path_index
         tcp = TcpArrayState(slots.is_cubic)
-        slots_of_path: List[np.ndarray] = [
-            np.nonzero(spath == p)[0] for p in range(num_paths)
-        ]
+        path_slots = _path_member_table(spath, num_paths)
 
         # --- accumulators ----------------------------------------------
         # Per-interval outputs are yielded to the session (which
@@ -863,7 +890,7 @@ class FluidNetwork:
                 burst_dirty = bool(bf)
                 if burst_dirty:
                     _allocate_bursts(
-                        rng, path_burst, path_send, slots_of_path,
+                        (rng,), path_burst, path_send, path_slots,
                         send, slot_burst,
                     )
                 n_comp = kernels.fluid_step_post(
@@ -1095,7 +1122,7 @@ class FluidNetwork:
             #    traffic.
             if burst_dirty:
                 _allocate_bursts(
-                    rng, path_burst, path_send, slots_of_path,
+                    (rng,), path_burst, path_send, path_slots,
                     send, slot_burst,
                 )
 

@@ -8,7 +8,9 @@ records, same ground truth, same RTT traces, same queue occupancy.
 These tests pin that contract over random topologies, random
 mechanism mixes (policing / shaping / AQM / weighted / neutral),
 heterogeneous per-scenario durations (the active mask), and mid-run
-per-scenario spec swaps through the session path.
+per-scenario spec swaps through the session path. Each scenario's
+generator must also end at its single run's stream position, which
+a resumed session continues from.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.classes import two_classes
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid.batch import FluidBatchNetwork, run_batch
+from repro.fluid.batch import FluidBatchNetwork
 from repro.fluid.engine import FluidNetwork
 from repro.fluid.params import (
     AqmSpec,
@@ -67,6 +69,14 @@ def _assert_results_identical(single, batched, label=""):
             err_msg=f"{label} rtt {pid}",
         )
     assert single.flows_completed == batched.flows_completed, label
+
+
+def _assert_rng_positions(batch_net, single_sims, label=""):
+    for b, sim in enumerate(single_sims):
+        assert (
+            batch_net._rngs[b].bit_generator.state
+            == sim._rng.bit_generator.state
+        ), f"{label} rng b={b}"
 
 
 def _topology(draw):
@@ -166,20 +176,24 @@ def test_batched_slices_match_single_runs(data):
     ]
     warmup = draw(st.sampled_from([0.0, 0.5]))
 
-    batched = run_batch(
-        net, classes, spec_sets, workloads, seeds, durations,
-        dt=DT, interval_seconds=INTERVAL, warmup_seconds=warmup,
+    batch_net = FluidBatchNetwork(net, classes, spec_sets, workloads, seeds)
+    batched = batch_net.run(
+        durations, dt=DT, interval_seconds=INTERVAL, warmup_seconds=warmup
     )
+    sims = []
     for b in range(num_scenarios):
-        single = FluidNetwork(
+        sim = FluidNetwork(
             net, classes, spec_sets[b], workloads, seed=seeds[b]
-        ).run(
+        )
+        single = sim.run(
             duration_seconds=durations[b],
             dt=DT,
             interval_seconds=INTERVAL,
             warmup_seconds=warmup,
         )
+        sims.append(sim)
         _assert_results_identical(single, batched[b], label=f"b={b}")
+    _assert_rng_positions(batch_net, sims)
 
 
 @settings(
@@ -224,10 +238,12 @@ def test_session_segment_swaps_match_single_sessions(data):
         dt=DT, interval_seconds=INTERVAL, warmup_seconds=0.5
     )
     single_sessions = []
+    sims = []
     for b in range(num_scenarios):
         sim = FluidNetwork(
             net, classes, spec_sets[b], workloads, seed=seeds[b]
         )
+        sims.append(sim)
         single_sessions.append(
             sim.session(
                 dt=DT, interval_seconds=INTERVAL, warmup_seconds=0.5
@@ -244,6 +260,7 @@ def test_session_segment_swaps_match_single_sessions(data):
                 chunk.lost, batch_chunks[b].lost, err_msg=f"seg{i} b{b}"
             )
             assert chunk.start_interval == batch_chunks[b].start_interval
+        _assert_rng_positions(batch_net, sims, label=f"seg{i}")
         if i == swap_after:
             for b in range(num_scenarios):
                 if swappers[b]:
@@ -322,17 +339,19 @@ def test_heterogeneous_durations_active_mask():
     spec_sets = [specs, specs, specs]
     seeds = [11, 12, 13]
     durations = [2.0, 5.0, 3.0]
-    batched = run_batch(
-        net, classes, spec_sets, wl, seeds, durations, warmup_seconds=0.5
-    )
+    batch_net = FluidBatchNetwork(net, classes, spec_sets, wl, seeds)
+    batched = batch_net.run(durations, warmup_seconds=0.5)
+    sims = []
     for b in range(3):
         assert batched[b].measurements.num_intervals == int(
             round(durations[b] / INTERVAL)
         )
-        single = FluidNetwork(
-            net, classes, spec_sets[b], wl, seed=seeds[b]
-        ).run(duration_seconds=durations[b], warmup_seconds=0.5)
+        sim = FluidNetwork(net, classes, spec_sets[b], wl, seed=seeds[b])
+        single = sim.run(duration_seconds=durations[b], warmup_seconds=0.5)
+        sims.append(sim)
         _assert_results_identical(single, batched[b], label=f"dur b={b}")
+    # Retired worlds stop drawing exactly where their single runs end.
+    _assert_rng_positions(batch_net, sims)
 
 
 def test_session_chunks_after_limit_are_none():
