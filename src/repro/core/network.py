@@ -21,6 +21,7 @@ constructions mirror the paper's figures verbatim.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -184,6 +185,25 @@ class PathIndex:
         return words
 
     @cached_property
+    def digest(self) -> str:
+        """Content digest of the registry: ids and packed incidence.
+
+        Two registries with equal digests describe the same topology,
+        whatever objects or processes hold them — the key under which
+        :mod:`repro.parallel` workers cache per-shard artifacts, so a
+        different topology that reuses the same path ids still misses.
+        """
+        h = hashlib.blake2b(digest_size=16)
+        for ids in (self.path_ids, self.link_ids):
+            h.update(len(ids).to_bytes(8, "little"))
+            for item in ids:
+                raw = item.encode("utf-8")
+                h.update(len(raw).to_bytes(8, "little"))
+                h.update(raw)
+        h.update(np.ascontiguousarray(self.packed).tobytes())
+        return h.hexdigest()
+
+    @cached_property
     def link_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR columns of the incidence: ``(indptr, path_rows)``.
 
@@ -281,21 +301,23 @@ class Network:
                 if endpoint is not None and endpoint not in self._nodes:
                     self._nodes[endpoint] = Node(endpoint, NodeKind.RELAY)
 
+        # Incidence caches: link id -> frozenset of path ids, filled in
+        # one O(Σ|p|) pass. Ids are appended path by path, so every
+        # frozenset sees the same insertion order as a per-link scan
+        # over the paths would give it.
+        through: Dict[str, List[str]] = {link_id: [] for link_id in self._links}
         self._paths: Dict[str, Path] = {}
         for path in paths:
             if path.id in self._paths:
                 raise ModelError(f"duplicate path id: {path.id!r}")
             for link_id in path.links:
-                if link_id not in self._links:
+                incident = through.get(link_id)
+                if incident is None:
                     raise UnknownLinkError(link_id)
+                incident.append(path.id)
             self._paths[path.id] = path
-
-        # Incidence caches: link id -> frozenset of path ids.
         self._paths_through: Dict[str, FrozenSet[str]] = {
-            link_id: frozenset(
-                p.id for p in self._paths.values() if link_id in p.link_set
-            )
-            for link_id in self._links
+            link_id: frozenset(ids) for link_id, ids in through.items()
         }
 
         # Lazy derived structures (the graph is immutable): the

@@ -14,11 +14,10 @@ Why the merge is exact, not approximate:
   ``{a, b}`` with ``σ = Links(a) ∩ Links(b) ≠ ∅`` lies entirely
   inside the shard that owns any ``l ∈ σ`` — so the union over
   shards enumerates *every* sharing pair (some more than once; the
-  merge dedups by global pair key).
-* :meth:`~repro.core.network.Network.restricted_to_paths` keeps all
-  links of the retained paths, so a pair's shared sequence computed
-  inside a shard equals its global σ — per-shard grouping never
-  splits or relabels a monolithic group.
+  merge counts pairs and members by distinct global pair key).
+* A shard's sub-network keeps all links of its paths, so a pair's
+  shared sequence computed inside a shard equals its global σ —
+  per-shard grouping never splits or relabels a monolithic group.
 * Under expected-mode normalization with traffic in every interval
   (the fast path shared with
   :func:`repro.measurement.normalize.batch_slice_observations`),
@@ -26,10 +25,16 @@ Why the merge is exact, not approximate:
   the global interval count only — per-shard values are *bitwise*
   equal to monolithic ones, hence so is every pair estimate
   ``y_a + y_b − y_ab``, and the per-σ score (max − min over the
-  deduped estimate multiset) is bitwise equal too.
+  estimates; a pair contributed twice carries the same estimate
+  twice) is bitwise equal too.
 * Algorithm 1's line-10 threshold is applied *after* the merge,
   against the merged member/pair counts, so the kept/skipped split
   matches the monolithic one exactly.
+
+Everything but the estimates depends on the topology alone: shard
+σ groups and pair rows (:func:`repro.parallel.executor.shard_topology`)
+and the merge's distinct pair and member counts (:class:`_MergePlan`)
+are built on the first call and memoized on the network.
 
 Inputs outside the fast path (sampled-mode normalization, or
 intervals without traffic on some path) couple normalization across
@@ -138,6 +143,81 @@ class ShardPlan:
         return cls(shards=tuple(shards))
 
 
+@dataclass(frozen=True)
+class _MergePlan:
+    """The records-independent half of the cross-shard merge.
+
+    How many distinct pairs and member paths each σ has, and where
+    each shard's σ land in the merged order, depend only on the
+    topology and the shards — so they are worked out once (memoized
+    on the network per shard list) and each call only folds its
+    estimates.
+
+    Attributes:
+        sigmas: Every shard σ, sorted.
+        slots: Per result, the position in :attr:`sigmas` of each of
+            its σ.
+        pairs: Distinct pairs per σ (a pair sharing links owned by
+            several shards is contributed by each of them).
+        members: Distinct member paths per σ.
+        contributions: Pair contributions the plan was built for (a
+            guard against serving it for other results).
+    """
+
+    sigmas: Tuple[LinkSeq, ...]
+    slots: Tuple[np.ndarray, ...]
+    pairs: np.ndarray
+    members: np.ndarray
+    contributions: int
+
+
+def _merge_plan(
+    net: Network, eligible: List[Shard], results: List
+) -> _MergePlan:
+    """The :class:`_MergePlan` of these shards, built from the
+    results' pair keys on the first call and served from ``net``'s
+    inference cache afterwards."""
+    index = net.path_index
+    contributions = sum(res.pairs for res in results)
+    key = ("merge_plan", tuple(shard.path_ids for shard in eligible))
+    cached = net._inference_cache.get(key)
+    if (
+        cached is not None
+        and cached[0] is index
+        and cached[1].contributions == contributions
+    ):
+        return cached[1]
+
+    num_paths = index.num_paths
+    sigmas = tuple(sorted({sigma for res in results for sigma in res.sigmas}))
+    slot_of = {sigma: g for g, sigma in enumerate(sigmas)}
+    keys: List[List[np.ndarray]] = [[] for _ in sigmas]
+    for res in results:
+        for s, sigma in enumerate(res.sigmas):
+            lo, hi = res.offsets[s], res.offsets[s + 1]
+            keys[slot_of[sigma]].append(res.keys[lo:hi])
+    pairs = np.zeros(len(sigmas), dtype=np.intp)
+    members = np.zeros(len(sigmas), dtype=np.intp)
+    for g, parts in enumerate(keys):
+        uniq = np.unique(np.concatenate(parts))
+        pairs[g] = uniq.size
+        members[g] = np.unique(
+            np.concatenate((uniq // num_paths, uniq % num_paths))
+        ).size
+    merge = _MergePlan(
+        sigmas=sigmas,
+        slots=tuple(
+            np.array([slot_of[sigma] for sigma in res.sigmas], dtype=np.intp)
+            for res in results
+        ),
+        pairs=pairs,
+        members=members,
+        contributions=contributions,
+    )
+    net._inference_cache[key] = (index, merge)
+    return merge
+
+
 def infer_sharded(
     net: Network,
     measurements: MeasurementData,
@@ -205,24 +285,6 @@ def infer_sharded(
     )
     sharded_span.__enter__()
     try:
-        # σ → list of (global pair keys, estimates) contributions.
-        per_sigma: Dict[
-            LinkSeq, List[Tuple[np.ndarray, np.ndarray]]
-        ] = {}
-
-        def _fold(shard: Shard, res) -> None:
-            for s, sigma in enumerate(res.sigmas):
-                lo, hi = res.offsets[s], res.offsets[s + 1]
-                per_sigma.setdefault(sigma, []).append(
-                    (res.keys[lo:hi], res.estimates[lo:hi])
-                )
-            if tel:
-                telemetry.get_registry().counter(
-                    "repro_sharded_pairs_total",
-                    "pathset pairs contributed per shard",
-                    shard=shard.name,
-                ).inc(res.pairs)
-
         if parallel:
             own_executor = executor is None
             exec_ = executor if executor is not None else ShardExecutor(
@@ -239,12 +301,6 @@ def infer_sharded(
             finally:
                 if own_executor:
                     exec_.close()
-            # Fold in shard order: per-σ contribution order — hence
-            # the merge's concatenations — match the sequential loop
-            # byte for byte.
-            for shard, res in zip(eligible, results):
-                if res is not None:
-                    _fold(shard, res)
             sharded_span.set(
                 mode=exec_.last_mode, shm_bytes=exec_.last_shm_bytes
             )
@@ -255,6 +311,7 @@ def infer_sharded(
                     mode=exec_.last_mode,
                 ).inc(len(eligible))
         else:
+            results = []
             for shard in eligible:
                 with telemetry.span(
                     "infer.shard", shard=shard.name,
@@ -267,42 +324,56 @@ def infer_sharded(
                         loss_threshold=settings.loss_threshold,
                         normalization_mode=settings.normalization_mode,
                     )
-                    if res is None:
-                        continue
-                    _fold(shard, res)
-                    shard_span.set(pairs=res.pairs)
+                    results.append(res)
+                    shard_span.set(pairs=res.pairs, cold=res.cold)
+        builds = sum(res.cold for res in results)
+        sharded_span.set(topology_builds=builds)
+        if tel:
+            registry = telemetry.get_registry()
+            for shard, res in zip(eligible, results):
+                if res.sigmas:
+                    registry.counter(
+                        "repro_sharded_pairs_total",
+                        "pathset pairs contributed per shard",
+                        shard=shard.name,
+                    ).inc(res.pairs)
+            registry.counter(
+                "repro_parallel_topology_builds_total",
+                "shard topologies built (cache misses; 0 when warm)",
+            ).inc(builds)
 
         merge_start = time.perf_counter()
         kept_sigmas: List[LinkSeq] = []
         skipped: List[LinkSeq] = []
         scores: Dict[LinkSeq, float] = {}
-        with telemetry.span("infer.merge", sigmas=len(per_sigma)):
-            for sigma in sorted(per_sigma):
-                parts = per_sigma[sigma]
-                keys = np.concatenate([k for k, _ in parts])
-                ests = np.concatenate([e for _, e in parts])
-                # A pair sharing several links appears in every shard
-                # owning one of them — duplicates carry
-                # bitwise-identical estimates, so keeping the first of
-                # each key is exact.
-                uniq, first = np.unique(keys, return_index=True)
-                ests = ests[first]
-                members = int(
-                    np.unique(
-                        np.concatenate(
-                            (uniq // num_paths, uniq % num_paths)
-                        )
-                    ).size
+        with telemetry.span("infer.merge") as merge_span:
+            merge = _merge_plan(net, eligible, results)
+            merge_span.set(sigmas=len(merge.sigmas))
+            # A pair sharing several links appears in every shard
+            # owning one of them, with a bitwise-identical estimate —
+            # so the max and min over all contributions of a σ are
+            # those over its distinct pairs, and per-shard segment
+            # extremes fold exactly.
+            highs = np.full(len(merge.sigmas), -np.inf)
+            lows = np.full(len(merge.sigmas), np.inf)
+            for res, slots in zip(results, merge.slots):
+                if not res.sigmas:
+                    continue
+                clipped = np.maximum(res.estimates, 0.0)
+                starts = res.offsets[:-1]
+                highs[slots] = np.maximum(
+                    highs[slots], np.maximum.reduceat(clipped, starts)
                 )
-                if members + int(uniq.size) < min_pathsets:
+                lows[slots] = np.minimum(
+                    lows[slots], np.minimum.reduceat(clipped, starts)
+                )
+            for g, sigma in enumerate(merge.sigmas):
+                if merge.members[g] + merge.pairs[g] < min_pathsets:
                     skipped.append(sigma)
                     continue
                 kept_sigmas.append(sigma)
-                clipped = np.maximum(ests, 0.0)
                 scores[sigma] = (
-                    float(clipped.max() - clipped.min())
-                    if uniq.size >= 2
-                    else 0.0
+                    float(highs[g] - lows[g]) if merge.pairs[g] >= 2 else 0.0
                 )
         if tel:
             telemetry.get_registry().counter(

@@ -72,6 +72,10 @@ def _popcount_rows(packed: np.ndarray) -> np.ndarray:
 #: regardless of how many sharing pairs a topology has.
 PAIR_POPCOUNT_BLOCK = 1 << 18
 
+#: Counter cells per block when :func:`expected_member_costs` turns
+#: loss ratios into congestion-free status.
+STATUS_BLOCK = 1 << 16
+
 #: Lazy handle on :mod:`repro.fluid.kernels` (imported on first use:
 #: ``repro.fluid`` pulls in the engines, which import this package).
 _kernels = None
@@ -454,6 +458,54 @@ def joint_slice_observations(
     return merged
 
 
+def expected_member_costs(
+    data: MeasurementData,
+    member_ids: Sequence[str],
+    pair_a: np.ndarray,
+    pair_b: np.ndarray,
+    loss_threshold: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Expected-mode singleton and pair costs over a member list.
+
+    The arithmetic of the fast path of
+    :func:`batch_slice_observations`, for callers that already hold
+    their members and pairs in array form (the per-shard evidence of
+    :mod:`repro.parallel`). Requires traffic on every member path in
+    every interval.
+
+    Args:
+        member_ids: The member paths (each must have a record).
+        pair_a / pair_b: Pair positions into ``member_ids``.
+
+    Returns:
+        ``(y_members, y_pairs)`` — one cost per member, one per pair.
+    """
+    rows = data.rows_of(member_ids)
+    sent, lost = data.sent_matrix, data.lost_matrix
+    total = sent.shape[1]
+    # Status of the member rows only, a block of rows at a time so the
+    # gathered counters and their ratio stay a few MB; elementwise, so
+    # equal to the same rows of the full (|P|, T) status matrix.
+    joint = np.empty((rows.size, total), dtype=bool)
+    step = max(1, STATUS_BLOCK // max(total, 1))
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        np.less(
+            lost[block] / sent[block],
+            loss_threshold,
+            out=joint[lo:lo + step],
+        )
+    eps = 1.0 / (2.0 * total)
+    y_members = -np.log(np.clip(joint.mean(axis=1), eps, 1.0))
+
+    # Pair costs: popcounts of bit-packed row ANDs, in fixed-size
+    # blocks so the gathered temporaries stay bounded at ≥5k paths.
+    packed = np.packbits(joint, axis=1)
+    joint_count = pair_joint_popcounts(packed, pair_a, pair_b)
+    y_pairs = -np.log(np.clip(joint_count / total, eps, 1.0))
+    return y_members, y_pairs
+
+
 def batch_slice_observations(
     data: MeasurementData,
     batch,
@@ -513,31 +565,19 @@ def batch_slice_observations(
         )
         return (observations,) + _arrays_from_dict(observations)
 
-    sent = data.sent_matrix
-    lost = data.lost_matrix
-    status = (lost / sent) < loss_threshold
-    total = status.shape[1]
-    eps = 1.0 / (2.0 * total)
-
     used = np.unique(batch.member_rows)
     path_ids = index.path_ids
-    data_rows = data.rows_of(path_ids[r] for r in used)
-    joint = status[data_rows]  # (n_used, T), aligned with ``used``
-    p_single = joint.mean(axis=1)
-    y_used = -np.log(np.clip(p_single, eps, 1.0))
-    y_single = np.full(num_paths, np.nan)
-    y_single[used] = y_used
-
-    # Pair costs: popcounts of bit-packed row ANDs, in fixed-size
-    # blocks so the gathered temporaries stay bounded at ≥5k paths.
     local = np.full(num_paths, -1, dtype=np.intp)
     local[used] = np.arange(used.size, dtype=np.intp)
-    packed = np.packbits(joint, axis=1)
-    joint_count = pair_joint_popcounts(
-        packed, local[batch.pair_a], local[batch.pair_b]
+    y_used, y_pair_flat = expected_member_costs(
+        data,
+        [path_ids[r] for r in used],
+        local[batch.pair_a],
+        local[batch.pair_b],
+        loss_threshold,
     )
-    p_pair = joint_count / total
-    y_pair_flat = -np.log(np.clip(p_pair, eps, 1.0))
+    y_single = np.full(num_paths, np.nan)
+    y_single[used] = y_used
 
     observations: Dict[PathSet, float] = {}
     if materialize:

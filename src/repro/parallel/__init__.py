@@ -12,10 +12,12 @@ from repro.parallel.executor import (
     MODES,
     ShardExecutor,
     ShardResult,
+    ShardTopology,
     SweepExecutor,
     default_infer_workers,
     resolve_shard_mode,
     shard_contribution,
+    shard_topology,
 )
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
@@ -47,6 +49,7 @@ __all__ = [
     "SharedArrayHandle",
     "ShardExecutor",
     "ShardResult",
+    "ShardTopology",
     "SweepExecutor",
     "TransportStats",
     "attach",
@@ -55,6 +58,7 @@ __all__ = [
     "reset_transport_stats",
     "resolve_shard_mode",
     "shard_contribution",
+    "shard_topology",
     "shm_available",
     "transport_stats",
 ]

@@ -358,12 +358,16 @@ class IncidenceDescriptor:
 
     ``packed`` is :attr:`repro.core.network.PathIndex.packed` —
     ``(|P|, W)`` uint64 words, paths in ``path_ids`` (sorted) order,
-    link columns in ``link_ids`` (sorted) order.
+    link columns in ``link_ids`` (sorted) order. ``digest`` is
+    :attr:`repro.core.network.PathIndex.digest` — the content key of
+    the workers' topology cache (never a segment name or an object
+    id, which a later topology could reuse).
     """
 
     packed: SharedArrayHandle
     path_ids: Tuple[str, ...]
     link_ids: Tuple[str, ...]
+    digest: str
 
 
 @dataclass
@@ -410,6 +414,7 @@ class IncidenceShare:
                 packed=REGISTRY.export(index.packed),
                 path_ids=index.path_ids,
                 link_ids=index.link_ids,
+                digest=index.digest,
             )
         )
 
