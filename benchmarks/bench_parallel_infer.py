@@ -2,16 +2,12 @@
 
 Three contracts of :mod:`repro.parallel`:
 
-* **Speedup with bitwise identity.** On the ≥5k-path federated
-  multi-ISP topology, records→verdict through the 4-worker
-  process+shm executor must return *bitwise* the sequential sharded
-  verdict (itself pinned bitwise to the monolithic pipeline by
-  ``bench_multi_isp.py``), stay inside the PR-6 sharded memory budget
-  on the parent, keep task payloads pickle-free (matrices travel via
-  shared memory only), and leak no ``/dev/shm`` segments. The ≥3×
-  wall-clock gate is asserted on hosts with ≥4 cores in full mode —
-  single-core CI smoke runs still pin every correctness property and
-  report the measured ratio.
+* **Bitwise identity.** On the ≥5k-path federated multi-ISP
+  topology, records→verdict through the 4-worker thread leg must
+  return *bitwise* the sequential sharded verdict (itself pinned
+  bitwise to the monolithic pipeline by ``bench_multi_isp.py``) and
+  stay inside the sharded memory budget. The cold sequential/thread
+  wall-time ratio is measured and reported, not gated.
 * **Warm repeat.** Shard topologies depend on the topology only,
   so a second record set on the same topology through the warm
   executor builds none of them (a counted, deterministic claim) and
@@ -34,6 +30,7 @@ from _emit import emit
 from conftest import BENCH_QUICK, heading, run_once
 
 from repro import telemetry
+from repro.core.network import Network
 from repro.core.sharding import infer_sharded
 from repro.experiments.adaptive import (
     AdaptiveSweep,
@@ -45,12 +42,7 @@ from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements
 from repro.experiments.sweep import SweepRunner
 from repro.measurement.synthetic import synthesize_records
-from repro.parallel import (
-    REGISTRY,
-    ShardExecutor,
-    reset_transport_stats,
-    transport_stats,
-)
+from repro.parallel import ShardExecutor
 from repro.topology.generators import random_two_class_performance
 from repro.topology.multi_isp import build_federated_multi_isp
 
@@ -62,11 +54,6 @@ NUM_INTERVALS = 120 if BENCH_QUICK else 240
 SHARDED_BUDGET = 128 * 1024 * 1024
 
 WORKERS = 4
-
-#: The wall-clock gate, asserted only where 4 workers have ≥4 cores
-#: to run on (and in full mode, where per-shard work dwarfs dispatch).
-SPEEDUP_GATE = 3.0
-GATE_SPEEDUP = os.cpu_count() >= 4 and not BENCH_QUICK
 
 
 def _records(net, seed, num_intervals=NUM_INTERVALS):
@@ -86,7 +73,7 @@ def _workload(shape, seed=5):
 
 
 def _warm_pool(ex):
-    """Start the executor's workers on a small *other* topology, so a
+    """Start the executor's threads on a small *other* topology, so a
     following run on the gate topology pays no pool setup but still
     builds every shard topology (a cold run)."""
     warm = build_federated_multi_isp(2, 3)
@@ -96,6 +83,13 @@ def _warm_pool(ex):
         warm.shard_plan(),
         executor=ex,
     )
+
+
+def _fresh_copy(net):
+    """An equal network with empty memos and a built path index."""
+    fresh = Network(net.links.values(), net.paths.values(), net.nodes.values())
+    fresh.path_index.packed
+    return fresh
 
 
 def _assert_bitwise(got, expected):
@@ -111,31 +105,35 @@ def test_parallel_infer_gate(benchmark):
     num_paths = len(fed.network.path_ids)
     assert num_paths >= MIN_PATHS
     plan = fed.shard_plan()
-    # Warm every lazy cache (path index, stacked matrices) so both
-    # timed runs measure inference, not setup.
+    # Warm the records' lazy caches (stacked matrices) so both timed
+    # runs measure inference, not setup.
     _, mono = infer_from_measurements(fed.network, data)
+    # Shard topologies and the merge plan are memoized on the network,
+    # so each timed run gets its own copy: both build them — cold
+    # against cold.
+    net_seq, net_par = _fresh_copy(fed.network), _fresh_copy(fed.network)
 
     t0 = time.perf_counter()
-    _, seq = infer_sharded(fed.network, data, plan, workers=1)
+    _, seq = infer_sharded(net_seq, data, plan, workers=1)
     t_seq = time.perf_counter() - t0
 
-    with ShardExecutor(workers=WORKERS, mode="process") as ex:
-        # Pool warmup on another topology (not timed): the gate
-        # measures dispatch on a warm pool, the state a monitoring
-        # loop or sweep actually runs in, while both timed runs still
-        # build their shard topologies — cold against cold.
+    with ShardExecutor(workers=WORKERS) as ex:
+        # Pool warmup on another topology (not timed): the ratio
+        # compares dispatch on a warm pool, the state a monitoring
+        # loop or sweep actually runs in.
         _warm_pool(ex)
-        reset_transport_stats()
 
         def _parallel():
             t0 = time.perf_counter()
-            _, par = infer_sharded(fed.network, data, plan, executor=ex)
+            _, par = infer_sharded(net_par, data, plan, executor=ex)
             return par, time.perf_counter() - t0
 
         par, t_par = run_once(benchmark, _parallel)
-        shm_bytes = ex.last_shm_bytes
+        assert ex.last_mode == "thread"
+        assert ex.last_topology_builds == sum(
+            len(s.path_ids) >= 2 for s in plan.shards
+        )
 
-    stats = transport_stats()
     speedup = t_seq / t_par if t_par > 0 else float("inf")
 
     heading(
@@ -145,69 +143,36 @@ def test_parallel_infer_gate(benchmark):
     )
     print(f"{'pipeline':>22} {'wall (s)':>9}")
     print(f"{'sequential sharded':>22} {t_seq:>9.2f}")
-    print(f"{f'{WORKERS}-worker process':>22} {t_par:>9.2f}")
-    print(
-        f"speedup {speedup:.2f}x on {os.cpu_count()} core(s); "
-        f"{shm_bytes / 1e6:.1f} MB via shared memory, "
-        f"{stats.task_array_bytes} task-payload array bytes"
-    )
+    print(f"{f'{WORKERS}-thread':>22} {t_par:>9.2f}")
+    print(f"speedup {speedup:.2f}x on {os.cpu_count()} core(s)")
 
     # Gate 1: all three verdict paths bitwise-identical.
     _assert_bitwise(seq, mono)
     _assert_bitwise(par, mono)
 
-    # Gate 2: zero-copy transport and clean segment lifecycle.
-    assert shm_bytes == (
-        data.sent_matrix.nbytes
-        + data.lost_matrix.nbytes
-        + fed.network.path_index.packed.nbytes
-    )
-    assert stats.task_array_bytes == 0
-    assert REGISTRY.active_segments() == 0
-    leftovers = (
-        [
-            n
-            for n in os.listdir("/dev/shm")
-            if n.startswith("repro-par")
-        ]
-        if os.path.isdir("/dev/shm")
-        else []
-    )
-    assert leftovers == []
-
-    # Gate 3: the parent process stays inside the PR-6 sharded
-    # budget (workers hold only attached views of the same pages —
-    # their unique footprint is their cached shard topologies, far
-    # below the parent's).
+    # Gate 2: the process stays inside the sharded memory budget with
+    # four shards' evidence in flight at once.
     import tracemalloc
 
     tracemalloc.start()
-    with ShardExecutor(workers=WORKERS, mode="process") as ex:
+    with ShardExecutor(workers=WORKERS) as ex:
         infer_sharded(fed.network, data, plan, executor=ex)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak <= SHARDED_BUDGET, (
-        f"parallel parent peak {peak / 1e6:.1f} MB over budget"
+        f"parallel peak {peak / 1e6:.1f} MB over budget"
     )
-
-    # Gate 4: the speedup, where there are cores to earn it.
-    if GATE_SPEEDUP:
-        assert speedup >= SPEEDUP_GATE, (
-            f"{WORKERS}-worker speedup {speedup:.2f}x < "
-            f"{SPEEDUP_GATE}x on {os.cpu_count()} cores"
-        )
 
     emit(
         benchmark,
         "parallel-infer/speedup",
-        gate=SPEEDUP_GATE if GATE_SPEEDUP else None,
+        gate=None,
         measured=speedup,
         sequential_seconds=t_seq,
         parallel_seconds=t_par,
         workers=WORKERS,
         cpus=os.cpu_count(),
-        shm_bytes=shm_bytes,
-        parent_peak_bytes=peak,
+        peak_bytes=peak,
         paths=num_paths,
     )
 
@@ -233,7 +198,7 @@ def test_warm_repeat_gate(benchmark):
     plan = fed.shard_plan()
     eligible = sum(len(s.path_ids) >= 2 for s in plan.shards)
 
-    with ShardExecutor(workers=WORKERS, mode="process") as ex:
+    with ShardExecutor(workers=WORKERS) as ex:
         _warm_pool(ex)
         t0 = time.perf_counter()
         _, cold = infer_sharded(fed.network, first, plan, executor=ex)
@@ -251,7 +216,7 @@ def test_warm_repeat_gate(benchmark):
     ratio = t_warm / t_cold
     heading(
         f"warm repeat: {WARM_SHAPE[0]}×{WARM_SHAPE[1]} federated, "
-        f"{len(plan.shards)} shards, {WORKERS}-worker process leg"
+        f"{len(plan.shards)} shards, {WORKERS}-thread leg"
     )
     print(f"{'record set':>22} {'wall (s)':>9} {'builds':>7}")
     print(f"{'first (cold)':>22} {t_cold:>9.2f} {cold_builds:>7}")
@@ -273,7 +238,6 @@ def test_warm_repeat_gate(benchmark):
         f"warm repeat {t_warm:.2f}s > {WARM_REPEAT_GATE:.2f} × cold "
         f"{t_cold:.2f}s"
     )
-    assert REGISTRY.active_segments() == 0
 
     emit(
         benchmark,

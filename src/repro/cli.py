@@ -80,12 +80,7 @@ def _cmd_info(_: argparse.Namespace) -> int:
         # name:version — exactly the tag sweep cache entries carry,
         # so logs record which backend produced a cached result.
         print(f"  {name:<10} {substrate_cache_tag(name)}")
-    from repro.parallel import (
-        ENV_WORKERS,
-        default_infer_workers,
-        resolve_shard_mode,
-        shm_available,
-    )
+    from repro.parallel import ENV_WORKERS, default_infer_workers
 
     print("parallel:")
     workers = default_infer_workers()
@@ -94,14 +89,7 @@ def _cmd_info(_: argparse.Namespace) -> int:
         f"  {ENV_WORKERS}: "
         f"{os.environ.get(ENV_WORKERS) or '(unset)'}"
     )
-    # auto resolves per run from the kernel backend: threads when the
-    # nogil numba kernels are active, processes + shm otherwise.
-    print(f"  shard mode:      {resolve_shard_mode('auto')} (auto)")
     print(f"  cpus:            {os.cpu_count()}")
-    print(
-        "  shared memory:   "
-        + ("available" if shm_available() else "unavailable")
-    )
     from repro import telemetry
 
     print("telemetry:")
@@ -637,7 +625,6 @@ def _finalize_telemetry(args: argparse.Namespace) -> None:
     if not telemetry.enabled():
         return
     telemetry.snapshot_kernel_counts()
-    telemetry.snapshot_parallel_stats()
     directory = telemetry.export_dir()
     if directory is None:
         return

@@ -21,7 +21,6 @@ constructions mirror the paper's figures verbatim.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -183,25 +182,6 @@ class PathIndex:
         words = pack_bool_rows(self.incidence)
         words.setflags(write=False)
         return words
-
-    @cached_property
-    def digest(self) -> str:
-        """Content digest of the registry: ids and packed incidence.
-
-        Two registries with equal digests describe the same topology,
-        whatever objects or processes hold them — the key under which
-        :mod:`repro.parallel` workers cache per-shard artifacts, so a
-        different topology that reuses the same path ids still misses.
-        """
-        h = hashlib.blake2b(digest_size=16)
-        for ids in (self.path_ids, self.link_ids):
-            h.update(len(ids).to_bytes(8, "little"))
-            for item in ids:
-                raw = item.encode("utf-8")
-                h.update(len(raw).to_bytes(8, "little"))
-                h.update(raw)
-        h.update(np.ascontiguousarray(self.packed).tobytes())
-        return h.hexdigest()
 
     @cached_property
     def link_csr(self) -> Tuple[np.ndarray, np.ndarray]:

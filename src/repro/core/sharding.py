@@ -63,11 +63,7 @@ from repro.exceptions import ShardingError, UnknownLinkError
 from repro.experiments.config import EmulationSettings
 from repro.measurement.clustering import make_cluster_decider
 from repro.measurement.records import MeasurementData
-from repro.parallel.executor import (
-    ShardExecutor,
-    default_infer_workers,
-    shard_contribution,
-)
+from repro.parallel.executor import ShardExecutor
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,6 @@ def infer_sharded(
     rng: Optional[np.random.Generator] = None,
     *,
     workers: Optional[int] = None,
-    parallel_mode: str = "auto",
     executor: Optional[ShardExecutor] = None,
 ) -> Tuple[Dict[PathSet, float], AlgorithmResult]:
     """Records → verdict, sharded per subnet, exact cross-shard merge.
@@ -244,12 +239,9 @@ def infer_sharded(
             ``REPRO_INFER_WORKERS`` (1 when unset → the sequential
             loop). Contributions are folded in shard order, so
             verdicts are bitwise-identical for every worker count.
-        parallel_mode: ``auto`` (threads iff the numba kernel backend
-            is active, processes + shared-memory transport
-            otherwise), ``thread``, or ``process``.
         executor: A caller-owned :class:`~repro.parallel.executor.
-            ShardExecutor` to reuse (its warm pools survive across
-            calls); overrides ``workers``/``parallel_mode``.
+            ShardExecutor` to reuse (its warm thread pool survives
+            across calls); overrides ``workers``.
     """
     fast = (
         settings.normalization_mode == "expected"
@@ -268,65 +260,35 @@ def infer_sharded(
         )
 
     tel = telemetry.enabled()
-    index = net.path_index
-    num_paths = index.num_paths
     eligible = [s for s in plan.shards if len(s.path_ids) >= 2]
-    num_workers = (
-        executor.workers
-        if executor is not None
-        else (workers if workers is not None else default_infer_workers())
-    )
-    parallel = num_workers > 1 and len(eligible) > 1
+    exec_ = executor if executor is not None else ShardExecutor(workers)
     sharded_span = telemetry.span(
         "infer.sharded",
         shards=len(plan.shards),
-        paths=num_paths,
-        workers=num_workers,
+        paths=net.path_index.num_paths,
+        workers=exec_.workers,
     )
     sharded_span.__enter__()
     try:
-        if parallel:
-            own_executor = executor is None
-            exec_ = executor if executor is not None else ShardExecutor(
-                workers=num_workers, mode=parallel_mode
+        try:
+            results = exec_.run_shards(
+                net,
+                measurements,
+                [shard.path_ids for shard in eligible],
+                loss_threshold=settings.loss_threshold,
+                normalization_mode=settings.normalization_mode,
             )
-            try:
-                results = exec_.run_shards(
-                    net,
-                    measurements,
-                    [shard.path_ids for shard in eligible],
-                    loss_threshold=settings.loss_threshold,
-                    normalization_mode=settings.normalization_mode,
-                )
-            finally:
-                if own_executor:
-                    exec_.close()
-            sharded_span.set(
-                mode=exec_.last_mode, shm_bytes=exec_.last_shm_bytes
-            )
-            if tel:
-                telemetry.get_registry().counter(
-                    "repro_parallel_shard_tasks_total",
-                    "shard tasks dispatched by the parallel executor",
-                    mode=exec_.last_mode,
-                ).inc(len(eligible))
-        else:
-            results = []
-            for shard in eligible:
-                with telemetry.span(
-                    "infer.shard", shard=shard.name,
-                    paths=len(shard.path_ids),
-                ) as shard_span:
-                    res = shard_contribution(
-                        net,
-                        measurements,
-                        shard.path_ids,
-                        loss_threshold=settings.loss_threshold,
-                        normalization_mode=settings.normalization_mode,
-                    )
-                    results.append(res)
-                    shard_span.set(pairs=res.pairs, cold=res.cold)
-        builds = sum(res.cold for res in results)
+        finally:
+            if executor is None:
+                exec_.close()
+        sharded_span.set(mode=exec_.last_mode)
+        if tel and exec_.last_mode == "thread":
+            telemetry.get_registry().counter(
+                "repro_parallel_shard_tasks_total",
+                "shard tasks dispatched by the parallel executor",
+                mode=exec_.last_mode,
+            ).inc(len(eligible))
+        builds = exec_.last_topology_builds
         sharded_span.set(topology_builds=builds)
         if tel:
             registry = telemetry.get_registry()

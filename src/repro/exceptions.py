@@ -75,3 +75,15 @@ class EmulationError(ReproError):
 
 class ConfigurationError(ReproError):
     """Invalid experiment or workload configuration."""
+
+
+class ExecutionError(ReproError):
+    """A worker pool broke (a worker process died) mid-run.
+
+    Attributes:
+        points: Keys of the work items the pool left unfinished.
+    """
+
+    def __init__(self, message: str, points=()) -> None:
+        super().__init__(message)
+        self.points = tuple(points)

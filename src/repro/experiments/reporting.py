@@ -108,9 +108,6 @@ def render_sweep_summary(
                 f"({getattr(stats, 'pool_setup_seconds', 0.0):.2f} s)"
             )
             table += f"\nparallel: {workers} workers, {pool}"
-            shm_bytes = getattr(stats, "shm_bytes", 0)
-            if shm_bytes:
-                table += f", {shm_bytes / 1e6:.1f} MB shared memory"
     return table
 
 

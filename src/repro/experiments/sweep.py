@@ -3,8 +3,8 @@
 Every figure and table of the paper is a *sweep*: a list of mutually
 independent experiment points (a Table 2 set × its x-axis values,
 topology B × seeds, an ablation grid). The seed runner executed them
-strictly sequentially; :class:`SweepRunner` fans them out over
-``multiprocessing`` workers and memoizes finished points in an
+strictly sequentially; :class:`SweepRunner` fans them out over a
+process pool and memoizes finished points in an
 on-disk cache, while keeping results bit-reproducible:
 
 * **Deterministic per-point seeding.** Each point's emulation seed is
@@ -48,6 +48,13 @@ untouched: digests are per point, results are cached per point, and
 a cached single-run result is interchangeable with a batched one. A
 batch task that fails is retried point-by-point on the same pool, so
 batching can never lose a sweep.
+
+**Lost workers.** A worker process that dies (killed, out of memory,
+a crash in native code) breaks the pool: :meth:`SweepRunner.run`
+then raises :class:`~repro.exceptions.ExecutionError` naming the
+unfinished points instead of waiting forever, keeps the results that
+did arrive in the cache, and drops the pool so the next run starts a
+fresh one.
 """
 
 from __future__ import annotations
@@ -58,13 +65,14 @@ import pickle
 import time
 import warnings
 import zlib
+from concurrent.futures import as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ExecutionError
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.shm import REGISTRY as _SHM_REGISTRY
 from repro.substrate.registry import substrate_cache_tag
 
 
@@ -188,6 +196,52 @@ def _execute_task_body(task: Tuple) -> Tuple:
     return ("ok", [(digest, result, time.perf_counter() - start)])
 
 
+def _execute_chunk(tasks: Sequence[Tuple]) -> List[Tuple]:
+    """Worker entry for a chunk of light tasks: one round trip."""
+    return [_execute_task(task) for task in tasks]
+
+
+def _task_keys(task: Tuple) -> List[str]:
+    if task[0] == "batch":
+        return [key for _, _, _, key in task[2]]
+    return [task[5]]
+
+
+def _stream(pool, tasks: Sequence[Tuple], chunksize: int):
+    """Yield task outcomes from ``pool`` in completion order.
+
+    An exception a point raises is re-raised here, and the chunks not
+    yet started are cancelled. A pool that loses a worker process
+    fails every outstanding future with ``BrokenProcessPool``; that
+    surfaces as :class:`~repro.exceptions.ExecutionError` naming the
+    points whose results never arrived.
+    """
+    chunks = [
+        tasks[lo : lo + chunksize] for lo in range(0, len(tasks), chunksize)
+    ]
+    pending = {pool.submit(_execute_chunk, chunk): chunk for chunk in chunks}
+    try:
+        for future in as_completed(list(pending)):
+            outcomes = future.result()
+            del pending[future]
+            yield from outcomes
+    except BrokenProcessPool as exc:
+        keys = sorted(
+            key
+            for chunk in pending.values()
+            for task in chunk
+            for key in _task_keys(task)
+        )
+        raise ExecutionError(
+            f"sweep worker pool broke (a worker process died); "
+            f"{len(keys)} point(s) unfinished: {', '.join(keys)}",
+            keys,
+        ) from exc
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 @dataclass
 class SweepStats:
     """Bookkeeping of one :meth:`SweepRunner.run` call."""
@@ -212,9 +266,6 @@ class SweepStats:
     workers: int = 1
     pool_reused: bool = False
     pool_setup_seconds: float = 0.0
-    #: Shared-memory bytes exported while the run executed (zero for
-    #: sweeps whose points never shard inference in-process).
-    shm_bytes: int = 0
 
     @property
     def executed_seconds(self) -> float:
@@ -435,7 +486,6 @@ class SweepRunner:
             raise ConfigurationError("sweep point keys must be unique")
         self.stats = SweepStats()  # per-run bookkeeping, as documented
         self.stats.workers = self.workers
-        shm_bytes_before = _SHM_REGISTRY.exported_bytes_total
         run_start = time.perf_counter()
         # Telemetry is consulted once per run (the kernels-style
         # enablement contract); when disabled the span below is the
@@ -563,27 +613,21 @@ class SweepRunner:
                         self._executor.last_setup_seconds if created else 0.0
                     )
                     try:
-                        retries = _collect(
-                            pool.imap_unordered(
-                                _execute_task, tasks, chunksize=chunksize
-                            )
-                        )
+                        retries = _collect(_stream(pool, tasks, chunksize))
                         if retries:
                             # Same pool, second phase: the members of any
                             # failed batch run as ordinary single points.
-                            _collect(
-                                pool.imap_unordered(
-                                    _execute_task, retries, chunksize=1
-                                )
-                            )
+                            _collect(_stream(pool, retries, 1))
+                    except ExecutionError:
+                        # A pool that lost a worker stays broken: drop
+                        # it, so the next run() starts a fresh one.
+                        self._executor.close()
+                        raise
                     finally:
                         if not self.reuse_pool:
                             self._executor.close()
 
             self.stats.wall_seconds = time.perf_counter() - run_start
-            self.stats.shm_bytes = (
-                _SHM_REGISTRY.exported_bytes_total - shm_bytes_before
-            )
             run_span.set(
                 cache_hits=self.stats.cache_hits,
                 cache_misses=self.stats.cache_misses,

@@ -18,6 +18,46 @@ import numpy as np
 from repro.exceptions import MeasurementError
 
 
+def check_counters(
+    path_ids: Sequence[str],
+    sent: np.ndarray,
+    lost: np.ndarray,
+    start_interval: int = 0,
+) -> None:
+    """Reject counters no measurement can produce.
+
+    ``sent`` and ``lost`` are aligned ``(|paths|, n)`` arrays, rows in
+    ``path_ids`` order. Every cell must satisfy ``0 ≤ lost ≤ sent <
+    ∞``, which rules out NaN, infinities, negative counters and losses
+    above the sent count. Non-integral values pass: fluid counters are
+    floats until an engine rounds them.
+
+    Raises:
+        MeasurementError: Naming the first offending path and its
+            absolute interval (``start_interval`` + column).
+    """
+    # NaN fails every comparison, and a negative sent count forces
+    # lost < 0 or lost > sent, so two comparisons (plus the infinity
+    # test for float sent) cover every case.
+    ok = (lost >= 0) & (lost <= sent)
+    if sent.dtype.kind == "f":
+        ok &= sent < np.inf
+    if ok.all():
+        return
+    row, col = np.argwhere(~ok)[0]
+    s, l = sent[row, col], lost[row, col]
+    if not (np.isfinite(s) and np.isfinite(l)):
+        reason = "non-finite counter"
+    elif s < 0 or l < 0:
+        reason = "negative counter"
+    else:
+        reason = "lost exceeds sent"
+    raise MeasurementError(
+        f"path {path_ids[row]!r}, interval {start_interval + int(col)}: "
+        f"{reason} (sent={s}, lost={l})"
+    )
+
+
 @dataclass(frozen=True)
 class RecordChunk:
     """A contiguous run of intervals for a fixed set of paths.
@@ -53,6 +93,9 @@ class RecordChunk:
                 f"chunk has {self.sent.shape[0]} rows for "
                 f"{len(self.path_ids)} paths"
             )
+        check_counters(
+            self.path_ids, self.sent, self.lost, self.start_interval
+        )
 
     @property
     def num_intervals(self) -> int:
@@ -95,25 +138,19 @@ class PathRecord:
     lost: np.ndarray
 
     def __post_init__(self) -> None:
-        self.sent = np.asarray(self.sent, dtype=np.int64)
-        self.lost = np.asarray(self.lost, dtype=np.int64)
-        if self.sent.shape != self.lost.shape:
+        sent, lost = np.asarray(self.sent), np.asarray(self.lost)
+        if sent.shape != lost.shape:
             raise MeasurementError(
                 f"path {self.path_id!r}: sent and lost shapes differ "
-                f"({self.sent.shape} vs {self.lost.shape})"
+                f"({sent.shape} vs {lost.shape})"
             )
-        if self.sent.ndim != 1:
+        if sent.ndim != 1:
             raise MeasurementError(
                 f"path {self.path_id!r}: records must be 1-D per interval"
             )
-        if (self.lost > self.sent).any():
-            raise MeasurementError(
-                f"path {self.path_id!r}: lost exceeds sent in some interval"
-            )
-        if (self.sent < 0).any() or (self.lost < 0).any():
-            raise MeasurementError(
-                f"path {self.path_id!r}: negative counters"
-            )
+        check_counters((self.path_id,), sent[None], lost[None])
+        self.sent = sent.astype(np.int64, copy=False)
+        self.lost = lost.astype(np.int64, copy=False)
 
     @property
     def num_intervals(self) -> int:

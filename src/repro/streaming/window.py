@@ -64,6 +64,7 @@ from repro.measurement.records import (
     MeasurementData,
     PathRecord,
     RecordChunk,
+    check_counters,
 )
 
 #: Window results memoized per (lo, hi); append-only streams never
@@ -234,7 +235,8 @@ class SlidingWindowStats:
                 f"non-contiguous chunk: starts at {chunk.start_interval}, "
                 f"stream is at {self._T}"
             )
-        self.append_arrays(chunk.sent, chunk.lost, chunk.path_ids)
+        # The chunk checked its shapes and counters when it was built.
+        self._append(chunk.sent, chunk.lost, chunk.path_ids)
 
     def append_arrays(
         self,
@@ -242,25 +244,41 @@ class SlidingWindowStats:
         lost: np.ndarray,
         path_ids: Sequence[str],
     ) -> None:
-        """Append raw ``(|paths|, n)`` counter matrices."""
-        sent = np.asarray(sent, dtype=np.int64)
-        lost = np.asarray(lost, dtype=np.int64)
+        """Append raw ``(|paths|, n)`` counter matrices.
+
+        Raises:
+            MeasurementError: On misaligned matrices, another path set
+                or order, or counters that fail
+                :func:`~repro.measurement.records.check_counters`
+                (named by path and absolute interval). A rejected
+                chunk leaves the stream unchanged.
+        """
+        sent, lost = np.asarray(sent), np.asarray(lost)
         if sent.shape != lost.shape or sent.ndim != 2:
             raise MeasurementError(
                 f"chunk matrices must be 2-D and aligned, got "
                 f"{sent.shape} vs {lost.shape}"
             )
+        if sent.shape[0] != len(path_ids):
+            raise MeasurementError(
+                f"chunk has {sent.shape[0]} rows for "
+                f"{len(path_ids)} paths"
+            )
+        check_counters(path_ids, sent, lost, self._T)
+        self._append(sent, lost, path_ids)
+
+    def _append(
+        self, sent: np.ndarray, lost: np.ndarray, path_ids: Sequence[str]
+    ) -> None:
+        """Append aligned, validated counter matrices."""
         if self._path_ids is None:
             self._init_paths(path_ids)
         elif tuple(path_ids) != self._path_ids:
             raise MeasurementError(
                 "chunk path set/order differs from the stream's"
             )
-        if sent.shape[0] != len(self._path_ids):
-            raise MeasurementError(
-                f"chunk has {sent.shape[0]} rows for "
-                f"{len(self._path_ids)} paths"
-            )
+        sent = sent.astype(np.int64, copy=False)
+        lost = lost.astype(np.int64, copy=False)
         n = sent.shape[1]
         if n == 0:
             return

@@ -4,9 +4,6 @@ The constructor fills ``Paths(l)`` in one pass over the paths; these
 properties pin it to the per-link scan it replaced — equal sets, the
 same link order, and the same frozenset iteration order (insertion
 order decides it), so nothing downstream can tell the two apart.
-:attr:`~repro.core.network.PathIndex.digest` is pinned as a content
-key: equal for equal topologies, different when only the incidence
-changes.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -52,17 +49,3 @@ def test_paths_through_matches_per_link_scan(case):
     assert net.unused_links() == frozenset(
         lid for lid, incident in reference.items() if not incident
     )
-
-
-@settings(max_examples=50, deadline=None)
-@given(random_networks())
-def test_digest_is_a_content_key(case):
-    links, paths = case
-    first = Network(links, paths).path_index.digest
-    assert Network(links, list(reversed(paths))).path_index.digest == first
-    # Same path and link ids, one path moved onto other links.
-    moved = paths[0]
-    others = [lid for lid in links if lid not in moved.links]
-    if others:
-        changed = [Path(moved.id, (others[0],))] + list(paths[1:])
-        assert Network(links, changed).path_index.digest != first

@@ -8,10 +8,14 @@ The load-bearing properties:
 * per-point seed derivation is stable and key-sensitive.
 """
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ExecutionError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.sweep import (
     SweepPoint,
@@ -74,6 +78,22 @@ def _broken_batch(seeds, kwargs_list):
 
 def _short_batch(seeds, kwargs_list):
     return [_emulate_point(seed=seeds[0], **kwargs_list[0])]
+
+
+#: The test process; forked pool workers inherit this value.
+_TEST_PID = os.getpid()
+
+
+def _kill_own_worker(value, seed):
+    """SIGKILL the worker process running this point (never the test
+    process itself)."""
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("must run in a pool worker")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise_value_error(value, seed):
+    raise ValueError(f"point {value} is broken")
 
 
 def _batched_points(values=(1.0, 2.0, 5.0), batch_func=_emulate_batch):
@@ -717,3 +737,69 @@ class TestPersistentPool:
             runner.run(_points())
             summary = render_sweep_summary({}, runner.stats)
         assert "parallel: 2 workers, warm pool reused" in summary
+
+
+#: Upper bound on how long a run with a lost worker may take to fail;
+#: the three points here emulate for well under a second each.
+LIVENESS_BOUND_SECONDS = 40.0
+
+
+@pytest.fixture
+def liveness_alarm():
+    """Fail (instead of hanging the suite) if a run outlives the bound."""
+
+    def _expired(signum, frame):
+        raise TimeoutError(
+            f"sweep run still blocked after {LIVENESS_BOUND_SECONDS} s"
+        )
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, LIVENESS_BOUND_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGKILL") or not hasattr(signal, "setitimer"),
+    reason="needs POSIX signals",
+)
+class TestLostWorker:
+    def test_killed_worker_raises_then_next_run_succeeds(
+        self, liveness_alarm
+    ):
+        """A point that SIGKILLs its own worker makes run() raise a
+        typed error naming the unfinished points, within the bound;
+        the same runner then runs a clean sweep on a fresh pool."""
+        doomed = SweepPoint(
+            key="point/doomed", func=_kill_own_worker, kwargs={"value": 0}
+        )
+        expected = SweepRunner(base_seed=5).run(_points())
+        with SweepRunner(base_seed=5, workers=2) as runner:
+            start = time.perf_counter()
+            with pytest.raises(ExecutionError) as info:
+                runner.run(_points() + [doomed])
+            assert time.perf_counter() - start < LIVENESS_BOUND_SECONDS
+            assert "point/doomed" in info.value.points
+            assert "point/doomed" in str(info.value)
+            assert runner.executor._pool is None  # the broken pool is gone
+            assert runner.run(_points()) == expected
+            assert runner.executor.pools_created == 2
+            assert runner.stats.pool_reused is False
+
+    def test_point_exception_propagates_and_pool_survives(
+        self, liveness_alarm
+    ):
+        """An ordinary exception in a point is re-raised as itself
+        (not as a pool failure) and leaves the warm pool usable."""
+        bad = SweepPoint(
+            key="point/bad", func=_raise_value_error, kwargs={"value": 1}
+        )
+        with SweepRunner(base_seed=5, workers=2) as runner:
+            with pytest.raises(ValueError, match="point 1 is broken"):
+                runner.run(_points() + [bad])
+            runner.run(_points())
+            assert runner.stats.pool_reused is True
+            assert runner.executor.pools_created == 1

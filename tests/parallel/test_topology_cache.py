@@ -1,18 +1,14 @@
 """Shard topology caches: warm repeats stay bitwise, stale entries miss.
 
 Each shard's topology (σ groups and pair rows) is built once per
-topology and reused for every later record set: memoized on the
-network for the inline and thread legs, cached per worker under the
-incidence's content digest on the process leg. Every case here runs
-twice through one warm :class:`~repro.parallel.ShardExecutor` on each
-leg and must equal a ``workers=1`` run on a freshly built network —
+topology and reused for every later record set, memoized on the
+network. Every case here runs twice through one warm
+:class:`~repro.parallel.ShardExecutor` inline and on 2 and 4 threads,
+and must equal a ``workers=1`` run on a freshly built network —
 across consecutive record sets, across two topologies that share
 their path ids but not their incidence, and on a network grown with
 :meth:`~repro.core.network.Network.with_paths`.
 """
-
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -22,13 +18,12 @@ from repro.core.network import Network, Path
 from repro.core.sharding import ShardPlan, infer_sharded
 from repro.exceptions import UnknownPathError
 from repro.measurement.synthetic import synthesize_records
-from repro.parallel import REGISTRY, ShardExecutor, shard_topology
-from repro.parallel.executor import _assign_lanes, _worker_topology_census
+from repro.parallel import ShardExecutor, shard_topology
 from repro.topology.generators import random_two_class_performance
 from repro.topology.multi_isp import build_federated_multi_isp
 
-LEGS = [(1, "auto"), (2, "thread"), (2, "process")]
-LEG_IDS = ["inline", "thread", "process"]
+WORKERS = [1, 2, 4]
+LEG_IDS = ["inline", "thread", "thread4"]
 
 
 def _federated(num_isps=3, hosts=4):
@@ -92,25 +87,24 @@ def _eligible(plan):
     return [s.path_ids for s in plan.shards if len(s.path_ids) >= 2]
 
 
-@pytest.mark.parametrize("workers,mode", LEGS, ids=LEG_IDS)
-def test_consecutive_record_sets(workers, mode):
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_consecutive_record_sets(workers):
     net, owner = _federated()
     plan = ShardPlan.from_link_partition(net, owner)
     sets = [_records(net, seed) for seed in (1, 3, 5)]
-    with ShardExecutor(workers=workers, mode=mode) as ex:
+    with ShardExecutor(workers=workers) as ex:
         for _ in range(2):
             for data in sets:
                 got = infer_sharded(net, data, plan, executor=ex)[1]
                 _assert_bitwise(got, _reference(net, owner, data))
-    assert REGISTRY.active_segments() == 0
 
 
-@pytest.mark.parametrize("workers,mode", LEGS, ids=LEG_IDS)
-def test_second_record_set_builds_nothing(workers, mode):
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_second_record_set_builds_nothing(workers):
     net, owner = _federated()
     shards = _eligible(ShardPlan.from_link_partition(net, owner))
     params = dict(loss_threshold=0.05, normalization_mode="expected")
-    with ShardExecutor(workers=workers, mode=mode) as ex:
+    with ShardExecutor(workers=workers) as ex:
         first = ex.run_shards(net, _records(net, 1), shards, **params)
         assert [res.cold for res in first] == [True] * len(shards)
         assert ex.topology_builds == len(shards)
@@ -122,8 +116,8 @@ def test_second_record_set_builds_nothing(workers, mode):
         assert ex.shard_tasks == 3 * len(shards)
 
 
-@pytest.mark.parametrize("workers,mode", LEGS, ids=LEG_IDS)
-def test_same_path_ids_other_incidence_misses(workers, mode):
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_same_path_ids_other_incidence_misses(workers):
     net_a, owner = _federated()
     net_b = _rewired(net_a, owner, seed=7)
     plan_a = ShardPlan.from_link_partition(net_a, owner)
@@ -133,9 +127,8 @@ def test_same_path_ids_other_incidence_misses(workers, mode):
     assert [s.path_ids for s in plan_a.shards] == [
         s.path_ids for s in plan_b.shards
     ]
-    assert net_a.path_index.digest != net_b.path_index.digest
     data_a, data_b = _records(net_a, 1), _records(net_b, 1)
-    with ShardExecutor(workers=workers, mode=mode) as ex:
+    with ShardExecutor(workers=workers) as ex:
         for _ in range(2):
             for net, plan, data in (
                 (net_a, plan_a, data_a),
@@ -143,20 +136,10 @@ def test_same_path_ids_other_incidence_misses(workers, mode):
             ):
                 got = infer_sharded(net, data, plan, executor=ex)[1]
                 _assert_bitwise(got, _reference(net, owner, data))
-        if mode == "process":
-            # Every lane ran shards of net_b last, and each worker
-            # holds that one topology only.
-            lanes = ex._pool
-            census = lanes.run(
-                [(k, _worker_topology_census, ()) for k in range(lanes.size)]
-            )
-            for digests, artifacts in census:
-                assert digests == (net_b.path_index.digest,)
-                assert 1 <= artifacts <= len(_eligible(plan_b))
 
 
-@pytest.mark.parametrize("workers,mode", LEGS, ids=LEG_IDS)
-def test_with_paths_network(workers, mode):
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_with_paths_network(workers):
     full, owner = _federated()
     extra = set(full.path_ids[::5])
     base = full.without_paths(extra)
@@ -165,21 +148,21 @@ def test_with_paths_network(workers, mode):
     plan_base = ShardPlan.from_link_partition(base, owner)
     plan_grown = ShardPlan.from_link_partition(grown, owner)
     data = _records(full, 9)
-    with ShardExecutor(workers=workers, mode=mode) as ex:
+    with ShardExecutor(workers=workers) as ex:
         for _ in range(2):
             for net, plan in ((base, plan_base), (grown, plan_grown)):
                 got = infer_sharded(net, data, plan, executor=ex)[1]
                 _assert_bitwise(got, _reference(net, owner, data))
 
 
-@pytest.mark.parametrize("workers,mode", LEGS, ids=LEG_IDS)
-def test_two_plans_on_one_network(workers, mode):
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_two_plans_on_one_network(workers):
     """Per-ISP shards and one shard per link, alternating on one
     network: each plan keeps its own shard topologies and merge."""
     net, per_isp = _federated()
     per_link = {lid: lid for lid in net.link_ids}
     data = _records(net, 11)
-    with ShardExecutor(workers=workers, mode=mode) as ex:
+    with ShardExecutor(workers=workers) as ex:
         for _ in range(2):
             for owner in (per_isp, per_link):
                 plan = ShardPlan.from_link_partition(net, owner)
@@ -187,8 +170,8 @@ def test_two_plans_on_one_network(workers, mode):
                 _assert_bitwise(got, _reference(net, owner, data))
 
 
-@pytest.mark.parametrize("workers,mode", LEGS, ids=LEG_IDS)
-def test_builds_surface_in_telemetry(workers, mode):
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_builds_surface_in_telemetry(workers):
     """The build count reaches the metrics registry and the
     ``infer.sharded`` span; tracing leaves the verdicts bitwise."""
     net, owner = _federated()
@@ -196,7 +179,7 @@ def test_builds_surface_in_telemetry(workers, mode):
     sets = [_records(net, seed) for seed in (1, 3)]
     untraced = [_reference(net, owner, data) for data in sets]
     telemetry.configure(enabled=True)
-    with ShardExecutor(workers=workers, mode=mode) as ex:
+    with ShardExecutor(workers=workers) as ex:
         traced = [
             infer_sharded(net, data, plan, executor=ex)[1] for data in sets
         ]
@@ -232,42 +215,19 @@ def test_memo_is_lean_and_per_network():
         np.testing.assert_array_equal(a, b)
 
 
-def test_process_lanes_recover_from_errors_and_lost_workers():
-    """A shard that raises leaves the lanes usable; a lost worker
-    raises instead of hanging and is replaced on the next run. Either
-    way results stay bitwise."""
+@pytest.mark.parametrize("workers", WORKERS, ids=LEG_IDS)
+def test_raising_shard_leaves_executor_usable(workers):
+    """A shard that raises fails its run only: the next run on the
+    same executor is bitwise again."""
     net, owner = _federated()
     plan = ShardPlan.from_link_partition(net, owner)
-    shards = _eligible(plan)
     data = _records(net, 1)
     params = dict(loss_threshold=0.05, normalization_mode="expected")
     expected = _reference(net, owner, data)
-    with ShardExecutor(workers=2, mode="process") as ex:
+    with ShardExecutor(workers=workers) as ex:
         with pytest.raises(UnknownPathError):
-            ex.run_shards(net, data, shards + [("no-such-path",)], **params)
+            ex.run_shards(
+                net, data, _eligible(plan) + [("no-such-path",)], **params
+            )
         got = infer_sharded(net, data, plan, executor=ex)[1]
         _assert_bitwise(got, expected)
-        # A worker killed between runs is replaced.
-        lanes = ex._pool
-        os.kill(lanes._procs[0].pid, signal.SIGKILL)
-        lanes._procs[0].join(timeout=10)
-        got = infer_sharded(net, data, plan, executor=ex)[1]
-        assert ex._pool is not lanes
-        _assert_bitwise(got, expected)
-        # A worker lost mid-run raises instead of hanging.
-        lanes = ex._pool
-        with pytest.raises(RuntimeError, match="exited mid-run"):
-            lanes.run([(0, os._exit, (3,)), (1, os.getpid, ())])
-        got = infer_sharded(net, data, plan, executor=ex)[1]
-        assert ex._pool is not lanes
-        _assert_bitwise(got, expected)
-    assert REGISTRY.active_segments() == 0
-
-
-def test_lane_assignment_is_deterministic_and_balanced():
-    sizes = [5, 9, 9, 1, 4, 7]
-    lanes = _assign_lanes(sizes, 2)
-    assert lanes == _assign_lanes(sizes, 2)
-    loads = [sum(s for s, k in zip(sizes, lanes) if k == lane) for lane in (0, 1)]
-    assert abs(loads[0] - loads[1]) <= max(sizes)
-    assert _assign_lanes(sizes, 1) == [0] * len(sizes)

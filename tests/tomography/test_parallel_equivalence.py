@@ -1,18 +1,17 @@
 """Differential harness: parallel ≡ sequential ≡ monolithic.
 
 The DESIGN.md S24 lock on :mod:`repro.parallel`: for any topology,
-link partition, worker count, and execution leg (thread or
-process+shm), :func:`~repro.core.sharding.infer_sharded` must return
-*bitwise* the verdict of its own sequential loop — which PR-6 already
-pins bitwise to the monolithic
-:func:`~repro.experiments.runner.infer_from_measurements`. Worker
-count and leg choice are execution vehicles, never part of the
-result.
+link partition and worker count (inline, or 2 and 4 threads),
+:func:`~repro.core.sharding.infer_sharded` must return *bitwise* the
+verdict of its own sequential loop — which is itself pinned bitwise
+to the monolithic
+:func:`~repro.experiments.runner.infer_from_measurements`. The worker
+count is an execution vehicle, never part of the result.
 
 Coverage: a deterministic federated multi-ISP case across workers
-1/2/4 × both legs (with a module-scoped executor reused between
-tests, locking warm-pool reuse), plus hypothesis-generated random
-topologies × random partitions × sampled worker counts.
+1/2/4 (with module-scoped executors reused between tests, locking
+warm-pool reuse), plus hypothesis-generated random topologies ×
+random partitions × sampled worker counts.
 """
 
 import numpy as np
@@ -23,7 +22,7 @@ from repro.core.network import Network, Path
 from repro.core.sharding import ShardPlan, infer_sharded
 from repro.experiments.runner import infer_from_measurements
 from repro.measurement.synthetic import synthesize_records
-from repro.parallel import REGISTRY, ShardExecutor
+from repro.parallel import ShardExecutor
 from repro.topology.generators import random_two_class_performance
 from repro.topology.multi_isp import build_federated_multi_isp
 
@@ -65,11 +64,7 @@ def warm_executors():
     """Module-scoped executors: every parametrized case below reuses
     the same warm pools, so pool persistence across runs is itself
     under test."""
-    executors = {
-        (mode, workers): ShardExecutor(workers=workers, mode=mode)
-        for mode in ("thread", "process")
-        for workers in (2, 4)
-    }
+    executors = {workers: ShardExecutor(workers=workers) for workers in (2, 4)}
     yield executors
     for ex in executors.values():
         ex.close()
@@ -77,31 +72,23 @@ def warm_executors():
 
 class TestFederatedParallel:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_workers_and_legs_are_invisible(
-        self, federated, workers, mode
-    ):
+    def test_workers_are_invisible(self, federated, workers):
         net, data, plan, mono = federated
-        _, par = infer_sharded(
-            net, data, plan, workers=workers, parallel_mode=mode
-        )
+        _, par = infer_sharded(net, data, plan, workers=workers)
         _assert_bitwise_verdict(par, mono)
-        assert REGISTRY.active_segments() == 0
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_consecutive_runs_on_one_executor(
-        self, federated, warm_executors, mode, workers
+        self, federated, warm_executors, workers
     ):
         net, data, plan, mono = federated
-        ex = warm_executors[(mode, workers)]
+        ex = warm_executors[workers]
         runs_before = ex.runs
         _, first = infer_sharded(net, data, plan, executor=ex)
         _, second = infer_sharded(net, data, plan, executor=ex)
         _assert_bitwise_verdict(first, mono)
         _assert_bitwise_verdict(second, mono)
         assert ex.runs == runs_before + 2
-        assert REGISTRY.active_segments() == 0
 
 
 # ----------------------------------------------------------------------
@@ -128,14 +115,13 @@ def random_parallel_cases(draw):
     }
     seed = draw(st.integers(0, 2**16))
     workers = draw(st.sampled_from([2, 4]))
-    mode = draw(st.sampled_from(["thread", "process"]))
-    return net, owner_of, seed, workers, mode
+    return net, owner_of, seed, workers
 
 
 @_SETTINGS
 @given(random_parallel_cases())
 def test_random_parallel_matches_sequential(case):
-    net, owner_of, seed, workers, mode = case
+    net, owner_of, seed, workers = case
     rng = np.random.default_rng(seed)
     perf, _ = random_two_class_performance(rng, net, num_violations=1)
     data = synthesize_records(perf, rng, num_intervals=60)
@@ -144,12 +130,6 @@ def test_random_parallel_matches_sequential(case):
     # the default threshold would hide on tiny nets.
     _, seq = infer_sharded(net, data, plan, min_pathsets=1, workers=1)
     _, par = infer_sharded(
-        net,
-        data,
-        plan,
-        min_pathsets=1,
-        workers=workers,
-        parallel_mode=mode,
+        net, data, plan, min_pathsets=1, workers=workers
     )
     _assert_bitwise_verdict(par, seq)
-    assert REGISTRY.active_segments() == 0
